@@ -126,9 +126,7 @@ class MonteCarlo:
         if not step_cells:
             step_cells = [matrix.cells_adjacent(locations[0])]
         return PossiblePath(
-            plocations=tuple(locations),
-            probability=1.0,
-            step_cells=tuple(step_cells),
+            plocations=tuple(locations), step_cells=tuple(step_cells)
         )
 
     @staticmethod

@@ -2,13 +2,14 @@
 
 ``Flow(q, tree, [ts, te])`` fetches the positioning records of the query
 window from the time index, groups them per object, reduces every object's
-sequence (Algorithm 1), constructs the valid possible paths on the reduced
-sequence, and accumulates the object presences into the indoor flow of ``q``.
+sequence (Algorithm 1), computes the object presences on the reduced
+sequence (Equations 1-2, summed over every valid possible path in one
+forward pass), and accumulates them into the indoor flow of ``q``.
 
 Since the execution-engine refactor the computation itself lives in the
 staged pipeline of :mod:`repro.engine.stages` (fetch → reduce → paths →
 presence); :class:`FlowComputer` remains the home of the per-object
-primitives (the reducer, path construction, Equation 1) and keeps its
+primitives (the reducer, Equations 1-2) and keeps its
 historical API as a thin driver over the pipeline.  A bare ``FlowComputer``
 lazily builds a private serial pipeline without cross-query caching, which
 reproduces the pre-engine behaviour exactly; a
@@ -34,12 +35,7 @@ from ..data.iupt import IUPT
 from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix
-from .paths import (
-    PathConstructionStats,
-    build_possible_paths,
-    total_candidate_probability,
-)
-from .presence import PresenceComputation
+from .presence import PresenceComputation, forward_presence
 from .query import SearchStats
 from .reduction import DataReducer, DataReductionConfig, ReductionStats
 
@@ -60,7 +56,7 @@ class FlowResult:
 class ObjectComputationCache:
     """Per-query cache of per-object presence artefacts, keyed by query set.
 
-    The nested-loop and best-first algorithms must not re-construct the paths
+    The nested-loop and best-first algorithms must not recompute the presence
     of an object that is relevant to several query locations (the
     "intermediate result sharing" of Section 4.1); this cache provides that
     sharing.  The naive algorithm deliberately bypasses it.
@@ -114,12 +110,10 @@ class FlowComputer:
         graph: IndoorSpaceLocationGraph,
         matrix: IndoorLocationMatrix,
         reduction: DataReductionConfig = DataReductionConfig.enabled(),
-        max_paths_per_object: Optional[int] = 1024,
     ):
         self._graph = graph
         self._matrix = matrix
         self._reducer = DataReducer(graph, matrix, reduction)
-        self._max_paths_per_object = max_paths_per_object
         self._pipeline: Optional["QueryPipeline"] = None
 
     @property
@@ -173,17 +167,9 @@ class FlowComputer:
         sequence: Sequence[SampleSet],
         stats: Optional[SearchStats] = None,
     ) -> PresenceComputation:
-        """Build the possible paths of one (already reduced) sequence."""
-        path_stats = stats.path_stats if stats is not None else PathConstructionStats()
-        paths = build_possible_paths(
-            sequence, self._matrix, path_stats, max_paths=self._max_paths_per_object
-        )
-        # Equation 1 normalises by the total candidate-path mass (the product
-        # of the per-sample-set probability sums), so probability mass lost to
-        # invalid candidates lowers the presence — this reproduces the paper's
-        # worked Example 3 (Φ(r6, o2) = 0.85).
-        return PresenceComputation(
-            paths, candidate_mass=total_candidate_probability(sequence)
+        """Equation 1 for every cell, over one (already reduced) sequence."""
+        return forward_presence(
+            sequence, self._matrix, stats.path_stats if stats is not None else None
         )
 
     def object_presence(

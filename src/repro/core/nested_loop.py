@@ -2,12 +2,13 @@
 
 Instead of iterating query locations in the outer loop (like the naive
 algorithm), the nested-loop algorithm iterates objects in the outer loop: it
-reduces each object's sequence *once* against the full query set, constructs
-its valid possible paths *once*, and then scores every relevant query location
-against those shared paths.  The per-object local scores are aggregated into
-global flows and the top-k is obtained by a full ranking.
+reduces each object's sequence *once* against the full query set, computes
+its presence over all valid possible paths *once*, and then scores every
+relevant query location against that shared artefact.  The per-object local
+scores are aggregated into global flows and the top-k is obtained by a full
+ranking.
 
-The per-object work (reduce → path construction) runs through the staged
+The per-object work (reduce → presence) runs through the staged
 pipeline of the execution engine, so it transparently benefits from the
 cross-query presence store and the parallel executor when the computer is
 owned by a :class:`~repro.engine.runtime.QueryEngine`.

@@ -1,10 +1,10 @@
 """Batched evaluation of many TkPLQ queries in one pass.
 
 Section 4.1's intermediate-result sharing reuses one object's reduced
-sequence and possible paths across the locations of *one* query.  The
+sequence and presence across the locations of *one* query.  The
 :class:`BatchPlanner` generalises that sharing across *queries*: queries over
 the same window are grouped, every object in the window is reduced once
-against the union of the group's query sets and its paths are constructed
+against the union of the group's query sets and its presence is computed
 once, and each query then only scores its own locations against the shared
 per-object artefacts.
 

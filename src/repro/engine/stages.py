@@ -91,7 +91,7 @@ class ReduceStage:
 
 
 class PathStage:
-    """Stage 3: construct the valid possible paths of one reduced sequence."""
+    """Stage 3: per-cell presence of one reduced sequence (forward DP, Eq. 1-2)."""
 
     def __init__(self, flow_computer: "FlowComputer"):
         self._computer = flow_computer

@@ -11,13 +11,10 @@ from repro.core import (
     PresenceComputation,
     rank_top_k,
 )
-from repro.core.paths import (
-    build_possible_paths,
-    candidate_path_count,
-    total_candidate_probability,
-)
+from repro.core.paths import candidate_path_count, total_candidate_probability
 from repro.core.query import SearchStats
 from repro.core.reduction import ReductionStats
+from tests import path_oracle
 
 
 class TestPathConstruction:
@@ -32,38 +29,24 @@ class TestPathConstruction:
             SampleSet.from_pairs([(plocs["p3"], 1.0)]),
             SampleSet.from_pairs([(plocs["p4"], 0.5), (plocs["p2"], 0.5)]),
         ]
-        paths = build_possible_paths(sequence, matrix)
+        paths = path_oracle.valid_paths(sequence, matrix)
         assert len(paths) == 1
-        assert paths[0].plocations == (plocs["p3"], plocs["p2"])
+        assert paths[0][0] == (plocs["p3"], plocs["p2"])
+        stats = SearchStats()
+        FlowComputer(figure1["graph"], matrix).presence_computation(sequence, stats)
+        assert stats.as_dict()["valid_paths"] == 1
 
-    def test_equivalent_concrete_paths_are_grouped(self, figure1):
+    def test_single_report_path_uses_adjacent_cells(self, figure1, figure1_flow_exact):
         plocs, matrix = figure1["plocs"], figure1["matrix"]
-        # p6 and p8 are both presence P-locations of the hallway cell, so the
-        # four concrete combinations collapse into one group per tail.
-        sequence = [
-            SampleSet.from_pairs([(plocs["p6"], 0.5), (plocs["p8"], 0.5)]),
-            SampleSet.from_pairs([(plocs["p6"], 0.5), (plocs["p8"], 0.5)]),
-        ]
-        paths = build_possible_paths(sequence, matrix)
-        assert len(paths) == 2
-        assert sum(p.probability for p in paths) == pytest.approx(1.0)
-
-    def test_max_paths_bound(self, figure1):
-        plocs, matrix = figure1["plocs"], figure1["matrix"]
-        sequence = [
-            SampleSet.from_pairs([(plocs["p2"], 0.5), (plocs["p5"], 0.5)])
-            for _ in range(6)
-        ]
-        unbounded = build_possible_paths(sequence, matrix)
-        bounded = build_possible_paths(sequence, matrix, max_paths=4)
-        assert len(bounded) <= 4 < len(unbounded)
-        assert sum(p.probability for p in bounded) < sum(p.probability for p in unbounded)
-
-    def test_single_report_path_uses_adjacent_cells(self, figure1):
-        plocs, matrix = figure1["plocs"], figure1["matrix"]
-        paths = build_possible_paths([SampleSet.certain(plocs["p7"])], matrix)
+        sequence = [SampleSet.certain(plocs["p7"])]
+        paths = path_oracle.valid_paths(sequence, matrix)
         assert len(paths) == 1
-        assert paths[0].step_cells == (matrix.cells_adjacent(plocs["p7"]),)
+        assert paths[0][2] == [matrix.cells_adjacent(plocs["p7"])]
+        presence = figure1_flow_exact.presence_computation(sequence)
+        cells = list(figure1["graph"].cells)
+        expected = path_oracle.presences(sequence, matrix, cells)
+        for cell_id in cells:
+            assert presence.presence_in_cell(cell_id) == pytest.approx(expected[cell_id])
 
     def test_total_candidate_probability(self):
         sequence = [SampleSet.from_pairs([(1, 0.5), (2, 0.5)]), SampleSet.certain(1)]
@@ -93,9 +76,10 @@ class TestPresence:
         assert presence.presence_in_cell(None) == 0.0
         assert presence.presence_in_cell(999) == 0.0
 
-    def test_empty_paths_presence_zero(self):
-        computation = PresenceComputation([])
-        assert computation.presence_in_cell(1) == 0.0
+    def test_empty_paths_presence_zero(self, figure1):
+        assert PresenceComputation().presence_in_cell(1) == 0.0
+        empty = FlowComputer(figure1["graph"], figure1["matrix"]).presence_computation([])
+        assert empty.presence_in_cell(1) == 0.0
 
 
 class TestDataReduction:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import TkPLQuery
 from repro.core import BestFirstTkPLQ, NaiveTkPLQ, NestedLoopTkPLQ
-from repro.core.paths import build_possible_paths
+from tests import path_oracle
 
 
 def _cells(figure1, *room_names):
@@ -94,10 +94,10 @@ class TestExample2ObjectPresence:
     def test_o3_has_four_possible_paths(self, figure1, figure1_iupt):
         matrix = figure1["matrix"]
         sequence = figure1_iupt.sequences_in(1.0, 8.0)[3]
-        paths = build_possible_paths(sequence, matrix)
+        paths = path_oracle.valid_paths(sequence, matrix)
         assert len(paths) == 4
-        assert pytest.approx(sum(p.probability for p in paths)) == 1.0
-        probabilities = sorted(round(p.probability, 2) for p in paths)
+        assert pytest.approx(sum(p for _, p, _ in paths)) == 1.0
+        probabilities = sorted(round(p, 2) for _, p, _ in paths)
         assert probabilities == [0.16, 0.24, 0.24, 0.36]
 
     def test_o3_presence_in_r6_is_012(self, figure1, figure1_iupt, figure1_flow_exact):
@@ -106,6 +106,8 @@ class TestExample2ObjectPresence:
         presence = figure1_flow_exact.presence_computation(sequence)
         cell_r6 = graph.parent_cell(slocs["r6"])
         assert presence.presence_in_cell(cell_r6) == pytest.approx(0.12)
+        oracle = path_oracle.presences(sequence, figure1["matrix"], [cell_r6])
+        assert oracle[cell_r6] == pytest.approx(0.12)
 
     def test_o3_presence_in_r1_is_zero(self, figure1, figure1_iupt, figure1_flow_exact):
         graph, slocs = figure1["graph"], figure1["slocs"]
@@ -128,6 +130,9 @@ class TestExample3IndoorFlow:
         presence = figure1_flow_exact.presence_computation(sequence)
         assert presence.presence_in_cell(graph.parent_cell(slocs["r1"])) == pytest.approx(0.0)
         assert presence.presence_in_cell(graph.parent_cell(slocs["r6"])) == pytest.approx(0.85)
+        cell_r6 = graph.parent_cell(slocs["r6"])
+        oracle = path_oracle.presences(sequence, figure1["matrix"], [cell_r6])
+        assert oracle[cell_r6] == pytest.approx(0.85)
 
     def test_flow_values_of_r6_and_r1(self, figure1, figure1_iupt, figure1_flow_exact):
         slocs = figure1["slocs"]

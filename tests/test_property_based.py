@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.paths import build_possible_paths, total_candidate_probability
-from repro.core.presence import PresenceComputation
+from repro.core import (
+    DataReductionConfig,
+    FlowComputer,
+    PathConstructionStats,
+    SearchStats,
+    forward_presence,
+)
+from repro.core.paths import total_candidate_probability
 from repro.data import SampleSet
 from repro.eval.metrics import kendall_coefficient, recall_at_k
 from repro.geometry import Point, Rect
 from repro.indexes import BPlusTree, OneDimensionalRTree, RTree
+from tests import path_oracle
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -123,23 +130,37 @@ class TestSampleSetProperties:
             assert max_dropped <= min_kept + 1e-9
 
 
+def _on_figure1(figure1, sequence):
+    """Remap arbitrary P-location ids onto the Figure 1 ids so the matrix knows them."""
+    plocs = sorted(figure1["plocs"].values())
+    return [
+        SampleSet.from_pairs(
+            [(plocs[s.ploc_id % len(plocs)], s.prob) for s in sample_set],
+            normalise=True,
+        )
+        for sample_set in sequence
+    ]
+
+
+def _alternating_sequence(figure1):
+    """12 sample sets, each split between p2 (cells r4, r6) and p5 (cells r5, r6).
+
+    All 4096 candidates are valid and no two share their step cell sets, so
+    not even grouping paths by steps brings the count under 1024.
+    """
+    plocs = figure1["plocs"]
+    return [
+        SampleSet.from_pairs([(plocs["p2"], weight), (plocs["p5"], 1.0 - weight)])
+        for weight in (0.3, 0.6, 0.45, 0.8, 0.5, 0.25, 0.7, 0.4, 0.55, 0.35, 0.65, 0.2)
+    ]
+
+
 class TestPresenceProperties:
     @given(sequence=st.lists(sample_sets(), min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_presence_always_in_unit_interval(self, figure1, sequence):
-        matrix = figure1["matrix"]
-        # Remap arbitrary P-location ids onto the Figure 1 ids so the matrix knows them.
-        plocs = sorted(figure1["plocs"].values())
-        remapped = []
-        for sample_set in sequence:
-            pairs = [
-                (plocs[sample.ploc_id % len(plocs)], sample.prob) for sample in sample_set
-            ]
-            remapped.append(SampleSet.from_pairs(pairs, normalise=True))
-        paths = build_possible_paths(remapped, matrix)
-        presence = PresenceComputation(
-            paths, candidate_mass=total_candidate_probability(remapped)
-        )
+        remapped = _on_figure1(figure1, sequence)
+        presence = forward_presence(remapped, figure1["matrix"])
         for cell_id in figure1["graph"].cells:
             value = presence.presence_in_cell(cell_id)
             assert 0.0 <= value <= 1.0 + 1e-9
@@ -147,17 +168,34 @@ class TestPresenceProperties:
     @given(sequence=st.lists(sample_sets(), min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_valid_path_mass_never_exceeds_candidate_mass(self, figure1, sequence):
-        matrix = figure1["matrix"]
-        plocs = sorted(figure1["plocs"].values())
-        remapped = [
-            SampleSet.from_pairs(
-                [(plocs[s.ploc_id % len(plocs)], s.prob) for s in sample_set],
-                normalise=True,
-            )
-            for sample_set in sequence
-        ]
-        paths = build_possible_paths(remapped, matrix)
-        assert sum(p.probability for p in paths) <= total_candidate_probability(remapped) + 1e-9
+        remapped = _on_figure1(figure1, sequence)
+        paths = path_oracle.valid_paths(remapped, figure1["matrix"])
+        assert sum(p for _, p, _ in paths) <= total_candidate_probability(remapped) + 1e-9
+
+    @given(sequence=st.lists(sample_sets(), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_forward_presence_matches_enumeration(self, figure1, sequence):
+        matrix, cells = figure1["matrix"], list(figure1["graph"].cells)
+        remapped = _on_figure1(figure1, sequence)
+        stats = PathConstructionStats()
+        presence = forward_presence(remapped, matrix, stats)
+        expected = path_oracle.presences(remapped, matrix, cells)
+        for cell_id in cells:
+            assert abs(presence.presence_in_cell(cell_id) - expected[cell_id]) <= 1e-12
+        assert stats.valid_paths == len(path_oracle.valid_paths(remapped, matrix))
+
+    def test_forward_presence_is_exact_beyond_1024_paths(self, figure1):
+        matrix, cells = figure1["matrix"], list(figure1["graph"].cells)
+        sequence = _alternating_sequence(figure1)
+        stats = SearchStats()
+        computer = FlowComputer(figure1["graph"], matrix, DataReductionConfig.disabled())
+        presence = computer.presence_computation(sequence, stats)
+        expected = path_oracle.presences(sequence, matrix, cells)
+        oracle_count = len(path_oracle.valid_paths(sequence, matrix))
+        assert stats.as_dict()["valid_paths"] == oracle_count == 4096
+        assert stats.path_stats.truncated_objects == 0
+        for cell_id in cells:
+            assert abs(presence.presence_in_cell(cell_id) - expected[cell_id]) <= 1e-12
 
 
 # ----------------------------------------------------------------------

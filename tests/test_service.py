@@ -198,6 +198,16 @@ class TestMetrics:
         assert summary["count"] == 100
         assert summary["max_ms"] == 99000.0
 
+    def test_quantiles_never_exceed_the_max(self):
+        histogram = LatencyHistogram()
+        for seconds in (0.0011, 0.0012, 0.3, 1.784):
+            histogram.observe(seconds)
+        for q in (0.0, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0):
+            assert histogram.quantile(q) <= histogram.max_seconds
+        assert histogram.quantile(0.95) == 1.784  # its bucket edge is 2.5 s
+        summary = histogram.as_dict()
+        assert summary["p95_ms"] == summary["p99_ms"] == summary["max_ms"] == 1784.0
+
     def test_quantile_validation_and_empty(self):
         histogram = LatencyHistogram()
         assert histogram.quantile(0.5) == 0.0
