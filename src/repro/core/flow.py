@@ -26,7 +26,6 @@ from typing import (
     Iterable,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TYPE_CHECKING,
 )
@@ -37,7 +36,7 @@ from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix
 from .presence import PresenceComputation, forward_presence
 from .query import SearchStats
-from .reduction import DataReducer, DataReductionConfig, ReductionStats
+from .reduction import DataReducer, DataReductionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.cache import StoredPresence
@@ -172,24 +171,6 @@ class FlowComputer:
             sequence, self._matrix, stats.path_stats if stats is not None else None
         )
 
-    def object_presence(
-        self,
-        sequence: Sequence[SampleSet],
-        sloc_id: int,
-        reduce_first: bool = True,
-    ) -> float:
-        """Φ(q, o) for a raw per-object sequence (convenience for tests/examples)."""
-        cell_id = self._graph.parent_cell(sloc_id)
-        if cell_id is None:
-            return 0.0
-        working: Sequence[SampleSet] = sequence
-        if reduce_first:
-            reduced = self._reducer.reduce(sequence, {sloc_id})
-            if reduced.pruned:
-                return 0.0
-            working = reduced.sequence
-        return self.presence_computation(working).presence_in_cell(cell_id)
-
     # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------
@@ -223,15 +204,3 @@ class FlowComputer:
         exactly what an independent :meth:`flow` call would compute.
         """
         return self.pipeline.flows_for_all(iupt, sloc_ids, start, end, stats=stats)
-
-    # ------------------------------------------------------------------
-    # Shared internals (also used by the TkPLQ algorithms)
-    # ------------------------------------------------------------------
-    def reduce_object(
-        self,
-        sequence: Sequence[SampleSet],
-        query_slocations: Optional[Set[int]],
-        stats: Optional[ReductionStats] = None,
-    ):
-        """Expose Algorithm 1 for callers that need the PSLs (e.g. Best-First)."""
-        return self._reducer.reduce(sequence, query_slocations, stats)

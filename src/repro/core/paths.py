@@ -73,7 +73,7 @@ def candidate_path_count(sequence: Sequence[SampleSet]) -> int:
     """The worst-case number of candidate paths (``Π |πl(Xi)|``)."""
     total = 1
     for sample_set in sequence:
-        total *= len(sample_set.plocation_set())
+        total *= len(sample_set)
     return total if sequence else 0
 
 

@@ -93,9 +93,7 @@ def forward_presence(
                 passed[cell] = sample.prob / len(cells)
         state[sample.ploc_id] = [sample.prob, passed, 1]
 
-    # MIL lookups depend only on (tail, next location); dwell-heavy sequences
-    # repeat the same pairs, so they are memoised for the whole pass.
-    cells_between: Dict[tuple, frozenset] = {}
+    cells_between = matrix.cells_between
     for sample_set in sequence[1:]:
         extended: Dict[int, list] = {}
         for ploc_id, prob in ((s.ploc_id, s.prob) for s in sample_set):
@@ -103,10 +101,7 @@ def forward_presence(
             count = 0
             passed = None
             for tail, (mass, tail_passed, tail_count) in state.items():
-                pair = (tail, ploc_id)
-                cells = cells_between.get(pair)
-                if cells is None:
-                    cells = cells_between[pair] = matrix.cells_between(tail, ploc_id)
+                cells = cells_between(tail, ploc_id)
                 if not cells:
                     continue
                 hit = 1.0 / len(cells)

@@ -1,7 +1,7 @@
 """The data reduction method of Section 3.2 (Algorithm 1, ``ReduceData``).
 
-Three co-operating reductions shrink the per-object work before any path is
-constructed:
+Three co-operating reductions shrink each object's sequence before its
+presence is computed (:mod:`repro.core.presence`):
 
 * **intra-merge** — inside one sample set, samples whose P-locations are
   equivalent (they refer to identical cell sets in the indoor location matrix)
@@ -16,14 +16,23 @@ constructed:
 
 Each reduction can be toggled independently so the ``-ORG`` algorithm variants
 of the evaluation (no data reduction) and finer ablations can be expressed.
+
+Which P-locations of a set are equivalent, and which S-locations the set may
+touch, depend only on its P-location tuple (``SampleSet.plocation_key``), and
+real tables repeat few tuples.  ``DataReducer`` therefore works them out once
+per tuple into a *plan* — the intra-merge groups (``None`` when nothing
+merges), the merged P-location tuple and the PSL frozenset — and ``reduce``
+is one pass that looks each set's plan up.  A set that merges nothing passes
+through unchanged; merged sets and inter-merge runs are rescaled exactly as
+``SampleSet(..., normalise=True)`` would rescale them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..data.records import Sample, SampleSet
+from ..data.records import SampleSet
 from ..space.graph import IndoorSpaceLocationGraph
 from ..space.matrix import IndoorLocationMatrix
 
@@ -80,14 +89,6 @@ class ReductionStats:
         self.candidate_paths_before += other.candidate_paths_before
         self.candidate_paths_after += other.candidate_paths_after
 
-    def record(self, before: Sequence[SampleSet], after: Sequence[SampleSet]) -> None:
-        self.sample_sets_before += len(before)
-        self.sample_sets_after += len(after)
-        self.samples_before += sum(len(s) for s in before)
-        self.samples_after += sum(len(s) for s in after)
-        self.candidate_paths_before += _candidate_count(before)
-        self.candidate_paths_after += _candidate_count(after)
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "objects_seen": self.objects_seen,
@@ -119,15 +120,13 @@ class ReducedSequence:
         return not self.pruned
 
 
-def _candidate_count(sequence: Sequence[SampleSet]) -> int:
-    total = 1
-    for sample_set in sequence:
-        total *= len(sample_set.plocation_set())
-    return total if sequence else 0
-
-
 class DataReducer:
-    """Applies Algorithm 1 to per-object positioning sequences."""
+    """Applies Algorithm 1 to per-object positioning sequences.
+
+    Plans are memoised per P-location tuple on the reducer, so they are bound
+    to its matrix and graph; the memo grows only with the distinct
+    P-location combinations the reducer has seen.
+    """
 
     def __init__(
         self,
@@ -138,10 +137,34 @@ class DataReducer:
         self._graph = graph
         self._matrix = matrix
         self._config = config
+        self._plans: Dict[Tuple[int, ...], tuple] = {}
 
     @property
     def config(self) -> DataReductionConfig:
         return self._config
+
+    def _plan(self, key: Tuple[int, ...]) -> tuple:
+        """Work out and memoise the plan of one P-location tuple.
+
+        Intra-merge groups are tuples of indices into ``key``.  Worker
+        threads share a reducer without a lock: plans are immutable, so two
+        threads racing on one key only build the same plan twice.
+        """
+        groups: Dict[FrozenSet[int], List[int]] = {}
+        for index, ploc_id in enumerate(key):
+            groups.setdefault(self._matrix.cells_adjacent(ploc_id), []).append(index)
+        cells: Set[int] = set().union(*groups)
+        psls = frozenset(self._graph.c2s_many(cells))
+        if not self._config.intra_merge or len(groups) == len(key):
+            plan = (None, key, psls)
+        else:
+            # ``key`` is sorted, so each group's first member is its smallest
+            # id (footnote 5: "we keep the P-location with a smaller
+            # subscript") and groups come out in representative order.
+            members = tuple(tuple(group) for group in groups.values())
+            plan = (members, tuple(key[group[0]] for group in members), psls)
+        self._plans[key] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -149,7 +172,7 @@ class DataReducer:
     def reduce(
         self,
         sequence: Sequence[SampleSet],
-        query_slocations: Optional[Set[int]],
+        query_slocations: Optional[AbstractSet[int]],
         stats: Optional[ReductionStats] = None,
     ) -> ReducedSequence:
         """Reduce one object's positioning sequence against a query set.
@@ -165,105 +188,91 @@ class DataReducer:
         stats:
             Optional accumulator describing the reduction across objects.
         """
-        original = list(sequence)
-        if stats is not None:
-            stats.objects_seen += 1
-
+        inter_merge = self._config.inter_merge
         reduced: List[SampleSet] = []
-        merge_buffer: List[SampleSet] = []
         psls: Set[int] = set()
+        # The current run of consecutive sets sharing a merged key, as
+        # (set, weights) with weights None for a set that merged nothing.
+        run: List[Tuple[SampleSet, Optional[List[float]]]] = []
+        run_key: Optional[Tuple[int, ...]] = None
+        samples_before = 0
+        candidates_before = 1
 
-        for sample_set in original:
-            working = self._intra_merge(sample_set) if self._config.intra_merge else sample_set
-            psls |= self._possible_slocations(working)
+        plans = self._plans
+        for sample_set in sequence:
+            samples = sample_set.samples
+            samples_before += len(samples)
+            candidates_before *= len(samples)
+            plan = plans.get(sample_set.plocation_key)
+            if plan is None:
+                plan = self._plan(sample_set.plocation_key)
+            groups, merged_key, set_psls = plan
+            weights = None
+            if groups is not None:
+                weights = [
+                    samples[group[0]].prob
+                    if len(group) == 1
+                    else min(sum(samples[index].prob for index in group), 1.0)
+                    for group in groups
+                ]
+            if merged_key != run_key:
+                if run:
+                    reduced.append(_merge_run(run_key, run))
+                run = []
+                run_key = merged_key
+                psls |= set_psls
+            run.append((sample_set, weights))
+            if not inter_merge:
+                reduced.append(_merge_run(merged_key, run))
+                run = []
 
-            if self._config.inter_merge:
-                if merge_buffer and working.plocation_set() != merge_buffer[-1].plocation_set():
-                    reduced.append(self._inter_merge(merge_buffer))
-                    merge_buffer = []
-                merge_buffer.append(working)
-            else:
-                reduced.append(working)
+        if run:
+            reduced.append(_merge_run(run_key, run))
 
-        if self._config.inter_merge and merge_buffer:
-            reduced.append(self._inter_merge(merge_buffer))
-
-        if stats is not None:
-            stats.record(original, reduced)
-
-        pruned = False
-        if (
+        pruned = (
             self._config.psl_pruning
             and query_slocations is not None
-            and not (psls & set(query_slocations))
-        ):
-            pruned = True
-            if stats is not None:
-                stats.objects_pruned += 1
+            and psls.isdisjoint(query_slocations)
+        )
+        if stats is not None:
+            stats.objects_seen += 1
+            stats.objects_pruned += pruned
+            stats.sample_sets_before += len(sequence)
+            stats.sample_sets_after += len(reduced)
+            stats.samples_before += samples_before
+            candidates_after = 1
+            for sample_set in reduced:
+                stats.samples_after += len(sample_set)
+                candidates_after *= len(sample_set)
+            if reduced:
+                stats.candidate_paths_before += candidates_before
+                stats.candidate_paths_after += candidates_after
 
         return ReducedSequence(
             sequence=tuple(reduced), psls=frozenset(psls), pruned=pruned
         )
 
-    # ------------------------------------------------------------------
-    # The two merge operations
-    # ------------------------------------------------------------------
-    def _intra_merge(self, sample_set: SampleSet) -> SampleSet:
-        """Merge equivalent P-locations inside one sample set.
 
-        Samples whose P-locations refer to the identical cell set are summed
-        onto the representative with the smallest id (footnote 5 of the
-        paper: "we keep the P-location with a smaller subscript").
-        """
-        grouped: Dict[frozenset, List[Sample]] = {}
-        for sample in sample_set:
-            key = self._matrix.cells_adjacent(sample.ploc_id)
-            grouped.setdefault(key, []).append(sample)
-        merged: List[Sample] = []
-        for members in grouped.values():
-            if len(members) == 1:
-                merged.append(members[0])
-                continue
-            representative = min(member.ploc_id for member in members)
-            probability = sum(member.prob for member in members)
-            merged.append(Sample(representative, min(probability, 1.0)))
-        return SampleSet(merged, normalise=True)
+def _merge_run(
+    key: Tuple[int, ...], run: List[Tuple[SampleSet, Optional[List[float]]]]
+) -> SampleSet:
+    """One reduced set from a run of sets sharing the merged ``key``.
 
-    @staticmethod
-    def _inter_merge(sample_sets: Sequence[SampleSet]) -> SampleSet:
-        """Merge consecutive sample sets sharing the same P-location set.
-
-        The merged probability of each common P-location is the mean of its
-        probabilities across the merged sets (Algorithm 1, ``InterMerge``).
-        """
-        if len(sample_sets) == 1:
-            return sample_sets[0]
-        locations = sorted(sample_sets[0].plocation_set())
-        count = len(sample_sets)
-        samples = [
-            Sample(
-                loc,
-                sum(sample_set.probability_of(loc) for sample_set in sample_sets) / count,
-            )
-            for loc in locations
-        ]
-        return SampleSet(samples, normalise=True)
-
-    # ------------------------------------------------------------------
-    # Possible semantic locations
-    # ------------------------------------------------------------------
-    def _possible_slocations(self, sample_set: SampleSet) -> Set[int]:
-        """The S-locations an object may have visited given one sample set."""
-        cells: Set[int] = set()
-        for ploc_id in sample_set.plocation_set():
-            cells |= self._matrix.cells_adjacent(ploc_id)
-        return self._graph.c2s_many(cells)
-
-    def possible_slocations_of_sequence(
-        self, sequence: Sequence[SampleSet]
-    ) -> Set[int]:
-        """PSLs over an entire sequence without performing any merge."""
-        psls: Set[int] = set()
-        for sample_set in sequence:
-            psls |= self._possible_slocations(sample_set)
-        return psls
+    A lone set is intra-merged (summed onto representatives and rescaled) or,
+    if nothing merged, passed through: presence divides by each set's total,
+    so its scale does not matter.  A longer run is inter-merged: each
+    P-location gets the mean of its normalised probabilities across the run
+    (Algorithm 1, ``InterMerge``), rescaled.
+    """
+    if len(run) == 1:
+        sample_set, weights = run[0]
+        return sample_set if weights is None else SampleSet._rescaled(key, weights)
+    rows = []
+    for sample_set, weights in run:
+        if weights is None:
+            weights = [sample.prob for sample in sample_set.samples]
+        # Algorithm 1 averages normalised sets; a set may sum to 1 ± 1e-3.
+        total = sum(weights)
+        rows.append([weight / total for weight in weights])
+    count = len(run)
+    return SampleSet._rescaled(key, [sum(column) / count for column in zip(*rows)])

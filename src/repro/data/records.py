@@ -39,9 +39,12 @@ class SampleSet:
     ``normalise=True`` is passed, in which case they are rescaled — the data
     reduction operations rely on rescaling when samples are merged or when a
     record is truncated to the maximum sample-set size.
+
+    ``plocation_key`` is the sorted tuple of the set's P-locations; the data
+    reduction memoises its per-set work on it.
     """
 
-    __slots__ = ("_samples",)
+    __slots__ = ("_samples", "plocation_key")
 
     def __init__(self, samples: Iterable[Sample], normalise: bool = False):
         merged: Dict[int, float] = {}
@@ -63,6 +66,24 @@ class SampleSet:
         self._samples: Tuple[Sample, ...] = tuple(
             Sample(loc, prob) for loc, prob in ordered
         )
+        self.plocation_key: Tuple[int, ...] = tuple(loc for loc, _ in ordered)
+
+    @classmethod
+    def _rescaled(cls, plocation_key: Tuple[int, ...], weights: List[float]) -> "SampleSet":
+        """A set over sorted distinct ``plocation_key`` with ``weights`` rescaled.
+
+        The arithmetic is exactly that of ``normalise=True`` on samples in
+        that order, but each :class:`Sample` is created once.
+        """
+        total = sum(weights)
+        if total <= 0:
+            raise ValueError("cannot normalise a sample set with zero total probability")
+        sample_set = cls.__new__(cls)
+        sample_set._samples = tuple(
+            Sample(loc, weight / total) for loc, weight in zip(plocation_key, weights)
+        )
+        sample_set.plocation_key = plocation_key
+        return sample_set
 
     # ------------------------------------------------------------------
     # Accessors
@@ -73,7 +94,7 @@ class SampleSet:
 
     def plocation_set(self) -> Set[int]:
         """``πl(X)``: the set of P-locations appearing in this sample set."""
-        return {s.ploc_id for s in self._samples}
+        return set(self.plocation_key)
 
     def probability_of(self, ploc_id: int) -> float:
         """The probability assigned to ``ploc_id`` (0.0 if absent)."""

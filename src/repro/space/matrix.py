@@ -19,7 +19,7 @@ merging equivalent P-locations that label the same GISL edge into an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .graph import IndoorSpaceLocationGraph
@@ -38,11 +38,18 @@ class IndoorLocationMatrix:
     representative:
         Maps each P-location to its equivalence-class representative; the
         identity mapping for the un-merged matrix.
+
+    ``cells_between`` memoises its entries, at most one per ordered pair of
+    mapped P-locations; the memo takes no part in equality or ``repr``, and
+    threads share it without a lock because racing writers store equal sets.
     """
 
     cells_of: Dict[int, FrozenSet[int]]
     representative: Dict[int, int]
     is_merged: bool = False
+    _between: Dict[Tuple[int, int], FrozenSet[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -92,13 +99,15 @@ class IndoorLocationMatrix:
 
     def cells_between(self, ploc_a: int, ploc_b: int) -> FrozenSet[int]:
         """``MIL[pa, pb]``: the cells directly connecting the two P-locations."""
-        cells_a = self.cells_adjacent(ploc_a)
-        if not cells_a:
-            return EMPTY_CELLS
-        cells_b = self.cells_adjacent(ploc_b)
-        if not cells_b:
-            return EMPTY_CELLS
-        return cells_a & cells_b
+        pair = (ploc_a, ploc_b)
+        cells = self._between.get(pair)
+        if cells is None:
+            cells_a = self.cells_adjacent(ploc_a)
+            cells_b = self.cells_adjacent(ploc_b)
+            if not (cells_a and cells_b):
+                return EMPTY_CELLS
+            cells = self._between[pair] = cells_a & cells_b
+        return cells
 
     def connected(self, ploc_a: int, ploc_b: int) -> bool:
         """Whether ``MIL[pa, pb]`` is non-empty (a direct move is possible)."""
