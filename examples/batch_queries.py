@@ -1,4 +1,4 @@
-"""Serving a query stream: batching, cross-query caching, parallel workers.
+"""Serving a query stream: batching and cross-query caching.
 
 This example plays the role of a popularity-analytics service under load:
 many tenants fire overlapping top-k popular-location queries against the same
@@ -9,8 +9,8 @@ building and time range.  It answers the same stream three ways —
 2. sequentially through one long-lived engine, running the stream twice —
    the second pass hits the cross-query presence store (dashboards re-issuing
    the same query) and answers from cached per-object artefacts;
-3. in one batched pass that shares each object's reduce/path work across
-   every query of the stream —
+3. in one batched pass that shares each object's reduce/presence work
+   across every query of the stream —
 
 and prints the timings, the presence-store statistics, and a proof that all
 three produce identical rankings.
@@ -84,16 +84,11 @@ def main() -> None:
     warm_seconds = time.perf_counter() - began
     warm_stats = warm_engine.cache_stats()
 
-    # 3. One batched pass, optionally fanning per-object work over threads.
-    batch_engine = QueryEngine(
-        scenario.system.graph,
-        scenario.system.matrix,
-        config=EngineConfig(executor="thread", max_workers=4),
-    )
+    # 3. One batched pass on a default engine.
+    batch_engine = QueryEngine(scenario.system.graph, scenario.system.matrix)
     began = time.perf_counter()
     report = batch_engine.batch(scenario.iupt, queries)
     batch_seconds = time.perf_counter() - began
-    batch_engine.close()
 
     print("\nAnswering the stream:")
     print(f"  sequential, cold engines : {cold_seconds * 1000.0:8.1f} ms")

@@ -2,7 +2,7 @@
 
 from .best_first import BestFirstTkPLQ
 from .engine import ALGORITHMS, IndoorFlowSystem
-from .flow import FlowComputer, FlowResult, ObjectComputationCache
+from .flow import FlowComputer, FlowResult
 from .naive import NaiveTkPLQ
 from .nested_loop import NestedLoopTkPLQ
 from .paths import PathConstructionStats, PossiblePath, candidate_path_count
@@ -31,7 +31,6 @@ __all__ = [
     "IndoorFlowSystem",
     "NaiveTkPLQ",
     "NestedLoopTkPLQ",
-    "ObjectComputationCache",
     "PathConstructionStats",
     "PossiblePath",
     "PresenceComputation",

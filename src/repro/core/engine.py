@@ -42,8 +42,8 @@ class IndoorFlowSystem:
         The data reduction configuration; disable it to obtain the ``-ORG``
         behaviour studied in Section 5.2.1.
     engine_config:
-        Execution-engine configuration (executor kind, worker count, presence
-        store capacity).  The default is serial execution with a bounded
+        Execution-engine configuration (presence store capacity, continuous
+        refresh strategy, scoring kernel).  The default has a bounded
         cross-query presence store.
     """
 
@@ -114,15 +114,11 @@ class IndoorFlowSystem:
         return self.engine.batch_top_k(iupt, queries)
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Introspection
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, float]:
         """Hit/miss statistics of the engine's cross-query presence store."""
         return self.engine.cache_stats()
-
-    def close(self) -> None:
-        """Release engine resources (parallel worker pools)."""
-        self.engine.close()
 
     def summary(self) -> Dict[str, int]:
         """Structural summary of the deployed model (plan, graph, matrix)."""

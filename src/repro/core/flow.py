@@ -7,28 +7,19 @@ sequence (Equations 1-2, summed over every valid possible path in one
 forward pass), and accumulates them into the indoor flow of ``q``.
 
 Since the execution-engine refactor the computation itself lives in the
-staged pipeline of :mod:`repro.engine.stages` (fetch → reduce → paths →
-presence); :class:`FlowComputer` remains the home of the per-object
-primitives (the reducer, Equations 1-2) and keeps its
-historical API as a thin driver over the pipeline.  A bare ``FlowComputer``
-lazily builds a private serial pipeline without cross-query caching, which
-reproduces the pre-engine behaviour exactly; a
-:class:`~repro.engine.runtime.QueryEngine` attaches its shared pipeline
-(presence store + executor) through :meth:`FlowComputer.use_pipeline`.
+staged pipeline of :mod:`repro.engine.stages` (fetch → presence);
+:class:`FlowComputer` remains the home of the per-object primitives (the
+reducer, Equations 1-2) and keeps its historical API as a thin driver over
+the pipeline.  A bare ``FlowComputer`` lazily builds a private pipeline
+without cross-query caching, which reproduces the pre-engine behaviour
+exactly; a :class:`~repro.engine.runtime.QueryEngine` attaches its shared
+pipeline (and presence store) through :meth:`FlowComputer.use_pipeline`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Optional,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from ..data.iupt import IUPT
 from ..data.records import SampleSet
@@ -39,7 +30,6 @@ from .query import SearchStats
 from .reduction import DataReducer, DataReductionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.cache import StoredPresence
     from ..engine.stages import QueryPipeline
 
 
@@ -50,55 +40,6 @@ class FlowResult:
     sloc_id: int
     flow: float
     stats: SearchStats
-
-
-class ObjectComputationCache:
-    """Per-query cache of per-object presence artefacts, keyed by query set.
-
-    The nested-loop and best-first algorithms must not recompute the presence
-    of an object that is relevant to several query locations (the
-    "intermediate result sharing" of Section 4.1); this cache provides that
-    sharing.  The naive algorithm deliberately bypasses it.
-
-    Entries are :class:`~repro.engine.cache.StoredPresence` artefacts keyed by
-    ``(object_id, frozenset(query_slocations))``.  The query-set component
-    matters because ``DataReducer.reduce`` is query-dependent (its pruning
-    decision, and potentially future reductions, depend on the query set): a
-    presence reduced under one location set must never be served for another.
-    Historically this class was keyed by object id alone, which let
-    ``flows_for_all`` reuse one location's reduction for a different location
-    — see the regression tests in ``tests/test_engine.py``.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[
-            Tuple[int, Optional[FrozenSet[int]]], "StoredPresence"
-        ] = {}
-
-    @staticmethod
-    def _key(
-        object_id: int, query_slocations: Optional[Iterable[int]]
-    ) -> Tuple[int, Optional[FrozenSet[int]]]:
-        qkey = None if query_slocations is None else frozenset(query_slocations)
-        return (object_id, qkey)
-
-    def get(
-        self,
-        object_id: int,
-        query_slocations: Optional[Iterable[int]] = None,
-    ) -> Optional["StoredPresence"]:
-        return self._entries.get(self._key(object_id, query_slocations))
-
-    def put(
-        self,
-        object_id: int,
-        entry: "StoredPresence",
-        query_slocations: Optional[Iterable[int]] = None,
-    ) -> None:
-        self._entries[self._key(object_id, query_slocations)] = entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class FlowComputer:
@@ -134,10 +75,10 @@ class FlowComputer:
     def pipeline(self) -> "QueryPipeline":
         """The staged pipeline this computer drives its queries through.
 
-        Bare computers build a private serial pipeline without cross-query
-        caching on first use (the pre-engine behaviour); computers owned by a
+        Bare computers build a private pipeline without cross-query caching
+        on first use (the pre-engine behaviour); computers owned by a
         :class:`~repro.engine.runtime.QueryEngine` share the engine's
-        pipeline, store, and executor.
+        pipeline and store.
         """
         if self._pipeline is None:
             # Imported lazily: the engine layer builds on this module.
@@ -147,13 +88,13 @@ class FlowComputer:
         return self._pipeline
 
     def use_pipeline(self, pipeline: "QueryPipeline") -> None:
-        """Attach the pipeline of an owning engine (store + executor)."""
+        """Attach the pipeline (and presence store) of an owning engine."""
         self._pipeline = pipeline
 
     def __getstate__(self) -> dict:
-        # The pipeline (presence store lock, worker pools) is a runtime
+        # The pipeline (and its presence store's lock) is a runtime
         # attachment, not part of the computer's identity; dropping it keeps
-        # the computer picklable for process-pool fan-out.
+        # the computer picklable.
         state = self.__dict__.copy()
         state["_pipeline"] = None
         return state
@@ -180,13 +121,12 @@ class FlowComputer:
         sloc_id: int,
         start: float,
         end: float,
-        cache: Optional[ObjectComputationCache] = None,
         stats: Optional[SearchStats] = None,
     ) -> FlowResult:
         """Compute the indoor flow of S-location ``sloc_id`` over ``[start, end]``."""
         pipeline = self.pipeline
         ctx = pipeline.context((start, end), frozenset({sloc_id}), stats=stats)
-        return pipeline.flow(ctx, iupt, sloc_id, legacy_cache=cache)
+        return pipeline.flow(ctx, iupt, sloc_id)
 
     def flows_for_all(
         self,

@@ -32,13 +32,12 @@ class NaiveTkPLQ:
 
         flows: Dict[int, float] = {}
         for sloc_id in query.query_slocations:
-            # Deliberately no shared per-query cache: every call re-reduces
-            # and re-constructs the paths of every relevant object.  (Each
-            # per-location flow runs through the staged pipeline, whose
-            # cross-query store keys by location set — so distinct locations
-            # never share work here either.)
+            # Deliberately no sharing: every call re-reduces every relevant
+            # object and recomputes its presence.  (Each per-location flow
+            # runs through the staged pipeline, whose cross-query store keys
+            # by location set — so distinct locations never share work.)
             result = self._flow_computer.flow(
-                iupt, sloc_id, query.start, query.end, cache=None, stats=stats
+                iupt, sloc_id, query.start, query.end, stats=stats
             )
             flows[sloc_id] = result.flow
 

@@ -10,8 +10,8 @@ ranking.
 
 The per-object work (reduce → presence) runs through the staged
 pipeline of the execution engine, so it transparently benefits from the
-cross-query presence store and the parallel executor when the computer is
-owned by a :class:`~repro.engine.runtime.QueryEngine`.
+cross-query presence store when the computer is owned by a
+:class:`~repro.engine.runtime.QueryEngine`.
 """
 
 from __future__ import annotations

@@ -89,24 +89,14 @@ class SearchStats:
         """
         self.objects_total = max(self.objects_total, count)
 
-    def merge(self, other: "SearchStats", same_window: bool = True) -> None:
-        """Fold another accumulator into this one.
+    def merge(self, other: "SearchStats") -> None:
+        """Fold the accumulator of another window fetch into this one.
 
-        Used to combine the per-worker statistics of parallel presence
-        computations (each worker collects into a private ``SearchStats``)
-        and, more generally, to aggregate per-stage accounting.
-
-        ``same_window`` states whether both sides describe the same window
-        fetch: if so ``objects_total`` keeps the maximum (the population was
-        counted once per fetch of the same window); if the sides cover
-        *different* windows — e.g. aggregating the groups of a multi-window
-        batch — the populations are distinct fetches and sum instead.
+        Used to aggregate the window groups of a multi-window batch: the
+        groups' populations are distinct fetches, so ``objects_total`` sums.
         """
         self.elapsed_seconds += other.elapsed_seconds
-        if same_window:
-            self.note_objects_total(other.objects_total)
-        else:
-            self.objects_total += other.objects_total
+        self.objects_total += other.objects_total
         self.flow_evaluations += other.flow_evaluations
         self.heap_operations += other.heap_operations
         self.path_stats.merge(other.path_stats)

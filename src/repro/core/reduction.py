@@ -79,7 +79,7 @@ class ReductionStats:
     candidate_paths_after: int = 0
 
     def merge(self, other: "ReductionStats") -> None:
-        """Fold another accumulator into this one (parallel-worker merging)."""
+        """Fold another accumulator into this one."""
         self.objects_seen += other.objects_seen
         self.objects_pruned += other.objects_pruned
         self.sample_sets_before += other.sample_sets_before

@@ -1,4 +1,4 @@
-"""The execution-engine layer: staged pipeline, caching, batching, fan-out.
+"""The execution-engine layer: staged pipeline, caching, batching.
 
 This package turns the core algorithms into an explicit execution engine:
 
@@ -6,9 +6,8 @@ This package turns the core algorithms into an explicit execution engine:
 * :mod:`~repro.engine.context` — :class:`ExecutionContext`, per-query state;
 * :mod:`~repro.engine.cache` — :class:`PresenceStore`, the cross-query LRU
   cache of per-object presence artefacts;
-* :mod:`~repro.engine.stages` — the composable pipeline stages
-  (fetch → reduce → paths → presence) and :class:`QueryPipeline`;
-* :mod:`~repro.engine.executors` — serial / thread / process executors;
+* :mod:`~repro.engine.stages` — the pipeline stages (fetch → presence)
+  and :class:`QueryPipeline`;
 * :mod:`~repro.engine.batch` — :class:`BatchPlanner`, many queries per pass;
 * :mod:`~repro.engine.continuous` — :class:`ContinuousQueryEngine`,
   incrementally maintained standing queries over streaming ingestion;
@@ -23,7 +22,7 @@ from .batch import (
     score_query_over_entries,
 )
 from .cache import CacheStats, PresenceStore, StoredPresence, make_store_key
-from .config import CONTINUOUS_REFRESH_KINDS, EXECUTOR_KINDS, EngineConfig
+from .config import CONTINUOUS_REFRESH_KINDS, EngineConfig
 from .context import ExecutionContext
 from .continuous import (
     CONTINUOUS_ALGORITHM,
@@ -31,15 +30,8 @@ from .continuous import (
     Subscription,
     SubscriptionStats,
 )
-from .executors import ParallelExecutor, SerialExecutor, make_executor
 from .runtime import QueryEngine
-from .stages import (
-    FetchStage,
-    PathStage,
-    PresenceStage,
-    QueryPipeline,
-    ReduceStage,
-)
+from .stages import FetchStage, PresenceStage, QueryPipeline
 
 __all__ = [
     "BATCH_ALGORITHM",
@@ -49,22 +41,16 @@ __all__ = [
     "CONTINUOUS_ALGORITHM",
     "CONTINUOUS_REFRESH_KINDS",
     "ContinuousQueryEngine",
-    "EXECUTOR_KINDS",
     "EngineConfig",
     "ExecutionContext",
     "FetchStage",
-    "ParallelExecutor",
-    "PathStage",
     "PresenceStage",
     "PresenceStore",
     "QueryEngine",
     "QueryPipeline",
-    "ReduceStage",
-    "SerialExecutor",
     "StoredPresence",
     "Subscription",
     "SubscriptionStats",
-    "make_executor",
     "make_store_key",
     "score_query_over_entries",
 ]

@@ -145,7 +145,7 @@ class BatchPlanner:
         for group in groups:
             group_stats = SearchStats()
             self._execute_group(iupt, queries, group, group_stats, results)
-            shared_stats.merge(group_stats, same_window=False)
+            shared_stats.merge(group_stats)
 
         return BatchReport(
             results=list(results),

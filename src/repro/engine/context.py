@@ -34,10 +34,6 @@ class ExecutionContext:
         The efficiency counters every stage reports into.
     store:
         The cross-query presence store, or ``None`` when caching is off.
-    use_store:
-        Per-context override letting a caller bypass the store without
-        reconfiguring the engine (the naive algorithm's per-location flow
-        calls stay cacheable, but e.g. ground-truth checks can opt out).
     data_key:
         The :meth:`~repro.data.iupt.IUPT.data_key_for` token of the table
         state this query's window reads; set by
@@ -56,7 +52,6 @@ class ExecutionContext:
     query_key: Optional[FrozenSet[int]]
     stats: SearchStats = field(default_factory=SearchStats)
     store: Optional["PresenceStore"] = None
-    use_store: bool = True
     data_key: Optional[Tuple] = None
     pinned_data_key: Optional[Tuple] = None
 
@@ -67,7 +62,3 @@ class ExecutionContext:
     @property
     def end(self) -> float:
         return self.window[1]
-
-    @property
-    def effective_store(self) -> Optional["PresenceStore"]:
-        return self.store if self.use_store else None

@@ -1,14 +1,14 @@
 """The :class:`QueryEngine` — the execution-engine facade.
 
 A ``QueryEngine`` owns one :class:`~repro.core.flow.FlowComputer` (the
-reduction / path primitives), one cross-query
-:class:`~repro.engine.cache.PresenceStore`, one executor, and the three TkPLQ
-algorithms wired to the shared :class:`~repro.engine.stages.QueryPipeline`.
+reduction / presence primitives), one cross-query
+:class:`~repro.engine.cache.PresenceStore`, and the three TkPLQ algorithms
+wired to the shared :class:`~repro.engine.stages.QueryPipeline`.
 It is the layer every entry point goes through:
 
 * :meth:`flow` / :meth:`flows` — Algorithm 2 through the staged pipeline;
 * :meth:`search` / :meth:`top_k` — the naive, nested-loop and best-first
-  algorithms, sharing the engine's store and executor;
+  algorithms, sharing the engine's store;
 * :meth:`batch` / :meth:`batch_top_k` — many queries in one pass through the
   :class:`~repro.engine.batch.BatchPlanner`;
 * :meth:`cache_stats` / :meth:`reset_cache` — cache introspection.
@@ -62,8 +62,7 @@ class QueryEngine:
             self.flow_computer, store=self.store, config=self.config
         )
         # The computer drives its flow()/flows_for_all() through this
-        # pipeline, so legacy callers holding the computer share the engine's
-        # store and executor.
+        # pipeline, so callers holding the computer share the engine's store.
         self.flow_computer.use_pipeline(self.pipeline)
         self.planner = BatchPlanner(self.pipeline)
         self._algorithms = {
@@ -76,14 +75,7 @@ class QueryEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the executor's worker pool (if any)."""
-        self.pipeline.close()
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        """Release engine resources; the serial engine holds none."""
 
     # ------------------------------------------------------------------
     # Flow computation (Algorithm 2)

@@ -220,7 +220,4 @@ def run_batched(
     are identical to independent ``run_method(..., "nl", ...)`` calls.
     """
     engine = _search_engine(scenario, reduction, config=engine_config)
-    try:
-        return engine.batch(scenario.iupt, queries)
-    finally:
-        engine.close()
+    return engine.batch(scenario.iupt, queries)

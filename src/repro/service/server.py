@@ -109,9 +109,9 @@ class QueryService:
     Parameters
     ----------
     engine:
-        The shared query engine; its executor settings still govern
-        per-object fan-out *inside* one query, while ``query_workers``
-        bounds how many whole requests execute concurrently.
+        The shared query engine.  Each request runs serially inside it;
+        ``query_workers`` bounds how many whole requests execute
+        concurrently.
     iupt:
         The served table.  ``ingest_batch`` / ``evict_before`` requests
         mutate it; standing subscriptions are maintained against it.
@@ -180,7 +180,7 @@ class QueryService:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
         self._pool = ThreadPoolExecutor(
-            max_workers=self._query_workers, thread_name_prefix="repro-query"
+            self._query_workers, thread_name_prefix="repro-query"
         )
         manifest_path = getattr(self.iupt.store, "subscription_manifest_path", None)
         self.continuous = self.engine.continuous(

@@ -3,10 +3,13 @@
 Covers the pipeline stages one by one, the cross-query presence store (LRU
 bounds, hit/miss accounting, query-set keying), the regression for the
 historical ``flows_for_all`` cache hazard, batched-vs-sequential result
-equality on both scenario builders, and parallel-vs-serial determinism.
+equality on both scenario builders, and the serial path's statistics
+accounting against direct reducer and presence calls.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 
@@ -18,7 +21,6 @@ from repro import (
     TkPLQuery,
 )
 from repro.core import SearchStats
-from repro.core.flow import ObjectComputationCache
 from repro.engine import (
     BatchPlanner,
     PresenceStore,
@@ -51,29 +53,22 @@ def fresh_engine(scenario, config=None, reduction=None) -> QueryEngine:
 # Configuration
 # ----------------------------------------------------------------------
 class TestEngineConfig:
-    def test_rejects_unknown_executor(self):
-        # A typo'd executor must fail at construction with a message naming
-        # the valid kinds — not deep inside make_executor at first query.
-        with pytest.raises(ValueError, match="serial"):
-            EngineConfig(executor="treads")
-
     def test_rejects_unknown_continuous_refresh(self):
         with pytest.raises(ValueError, match="incremental"):
             EngineConfig(continuous_refresh="eventually")
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
-            EngineConfig(max_workers=0)
-        with pytest.raises(ValueError):
-            EngineConfig(parallel_threshold=-1)
-        with pytest.raises(ValueError):
             EngineConfig(presence_store_capacity=-1)
 
     def test_factories(self):
-        assert not EngineConfig.serial().is_parallel
-        assert EngineConfig.parallel(4).executor == "thread"
+        assert EngineConfig().caching_enabled
         assert not EngineConfig.uncached().caching_enabled
-        assert "executor" in EngineConfig().as_dict()
+        assert [field.name for field in fields(EngineConfig)] == [
+            "presence_store_capacity",
+            "continuous_refresh",
+            "scoring_kernel",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -150,29 +145,32 @@ class TestStages:
         pipeline.fetch.run(ctx, figure1_iupt)
         assert ctx.stats.objects_total == 3
 
-    def test_reduce_stage_matches_reducer(self, figure1, figure1_iupt):
-        computer = fresh_computer(figure1)
-        pipeline = computer.pipeline
+    @pytest.mark.parametrize(
+        "enabled", [True, False], ids=["reduced", "unreduced"]
+    )
+    def test_presence_stage_matches_direct_calls(
+        self, figure1, figure1_iupt, enabled
+    ):
+        """The stage's artefact is the reducer's output plus its presence."""
+        reduction = (
+            DataReductionConfig.enabled() if enabled else DataReductionConfig.disabled()
+        )
+        pipeline = fresh_computer(figure1, reduction).pipeline
+        direct = fresh_computer(figure1, reduction)
         query_key = frozenset({figure1["slocs"]["r6"]})
         ctx = pipeline.context(WINDOW, query_key)
-        sequences = figure1_iupt.sequences_in(*WINDOW)
-        for sequence in sequences.values():
-            staged = pipeline.reduce.run(ctx, sequence)
-            direct = computer.reducer.reduce(sequence, set(query_key))
-            assert staged.sequence == direct.sequence
-            assert staged.psls == direct.psls
-            assert staged.pruned == direct.pruned
-
-    def test_path_stage_matches_presence_computation(self, figure1, figure1_iupt):
-        computer = fresh_computer(figure1, DataReductionConfig.disabled())
-        pipeline = computer.pipeline
-        ctx = pipeline.context(WINDOW, None)
-        sequences = figure1_iupt.sequences_in(*WINDOW)
-        cell = figure1["graph"].parent_cell(figure1["slocs"]["r6"])
-        for sequence in sequences.values():
-            staged = pipeline.paths.run(ctx, tuple(sequence))
-            direct = computer.presence_computation(tuple(sequence))
-            assert staged.presence_in_cell(cell) == direct.presence_in_cell(cell)
+        for object_id, sequence in figure1_iupt.sequences_in(*WINDOW).items():
+            staged = pipeline.presence.run(ctx, object_id, sequence)
+            reduced = direct.reducer.reduce(sequence, query_key)
+            assert staged.sequence == reduced.sequence
+            assert staged.psls == reduced.psls
+            assert staged.pruned == reduced.pruned
+            if reduced.pruned:
+                assert staged.computation is None
+                continue
+            assert staged.computation == direct.presence_computation(
+                reduced.sequence
+            )
 
     def test_presence_stage_store_accounting(self, figure1, figure1_iupt):
         scenario_like = figure1
@@ -214,22 +212,6 @@ class TestStages:
 # The flows_for_all cache-correctness regression
 # ----------------------------------------------------------------------
 class TestCacheCorrectnessRegression:
-    def test_object_cache_rejects_cross_query_reuse(self):
-        """A presence cached under one query set must miss under another.
-
-        This is the stale-hit hazard of the historical object-id-only keying:
-        ``flows_for_all`` shared one cache across per-location flow calls, so
-        an artefact produced by ``reduce(seq, {B})`` was served for location
-        ``A`` — bypassing A's (query-dependent) pruning decision.
-        """
-        cache = ObjectComputationCache()
-        entry = StoredPresence(psls=frozenset({2}), sequence=(), pruned=False)
-        cache.put(7, entry, {2})
-        assert cache.get(7, {3}) is None
-        assert cache.get(7) is None
-        assert cache.get(7, {2}) is entry
-        assert len(cache) == 1
-
     def test_flows_for_all_matches_independent_flows(self, figure1, figure1_iupt):
         """Shared-pass flows and accounting must equal independent flow calls.
 
@@ -252,23 +234,23 @@ class TestCacheCorrectnessRegression:
         assert shared_stats.flow_evaluations == independent_evaluations
         assert shared_stats.objects_total == 3
 
-    def test_legacy_cache_on_flow_calls_stays_per_location(
-        self, figure1, figure1_iupt
-    ):
-        """A cache shared across flow() calls must not leak across locations."""
-        computer = fresh_computer(figure1)
-        cache = ObjectComputationCache()
+    def test_store_on_flow_calls_stays_per_location(self, figure1, figure1_iupt):
+        """A store shared across flow() calls must not leak across locations.
+
+        This is the stale-hit hazard of the historical object-id-only keying:
+        one cache shared across per-location flow calls served an artefact
+        produced by ``reduce(seq, {B})`` for location ``A`` — bypassing A's
+        (query-dependent) pruning decision.
+        """
+        engine = QueryEngine(figure1["graph"], figure1["matrix"])
         slocs = figure1["slocs"]
-        with_cache_r1 = computer.flow(
-            figure1_iupt, slocs["r1"], *WINDOW, cache=cache
-        ).flow
-        with_cache_r3 = computer.flow(
-            figure1_iupt, slocs["r3"], *WINDOW, cache=cache
-        ).flow
-        assert with_cache_r1 == fresh_computer(figure1).flow(
+        with_store_r1 = engine.flow(figure1_iupt, slocs["r1"], *WINDOW).flow
+        with_store_r3 = engine.flow(figure1_iupt, slocs["r3"], *WINDOW).flow
+        assert len(engine.store) > 0
+        assert with_store_r1 == fresh_computer(figure1).flow(
             figure1_iupt, slocs["r1"], *WINDOW
         ).flow
-        assert with_cache_r3 == fresh_computer(figure1).flow(
+        assert with_store_r3 == fresh_computer(figure1).flow(
             figure1_iupt, slocs["r3"], *WINDOW
         ).flow
 
@@ -448,10 +430,35 @@ class TestBatchPlanner:
 
 
 # ----------------------------------------------------------------------
-# Parallel execution
+# Serial per-object accounting
 # ----------------------------------------------------------------------
-class TestParallelExecution:
-    def test_thread_executor_is_deterministic(self, small_real_scenario):
+def direct_stats(scenario, window, query_key) -> SearchStats:
+    """The counters of reducing every object and computing its presence by
+    hand, with the engine's primitives called directly."""
+    computer = FlowComputer(
+        scenario.system.graph, scenario.system.matrix, DataReductionConfig.enabled()
+    )
+    stats = SearchStats()
+    for object_id, sequence in scenario.iupt.sequences_in(*window).items():
+        reduced = computer.reducer.reduce(sequence, query_key, stats.reduction_stats)
+        if not reduced.pruned:
+            computer.presence_computation(reduced.sequence, stats)
+            stats.note_object_computed(object_id)
+    return stats
+
+
+class TestSerialAccounting:
+    """``presences()`` reports exactly the work of the direct calls."""
+
+    @staticmethod
+    def assert_same_work(staged: SearchStats, direct: SearchStats) -> None:
+        assert direct.objects_computed > 0 and direct.path_stats.valid_paths > 0
+        assert staged.reduction_stats == direct.reduction_stats
+        assert staged.objects_computed == direct.objects_computed
+        assert staged.computed_object_ids == direct.computed_object_ids
+        assert staged.path_stats.valid_paths == direct.path_stats.valid_paths
+
+    def test_nested_loop_stats_equal_direct_calls(self, small_real_scenario):
         scenario = small_real_scenario
         query = TkPLQuery.build(
             scenario.pick_query_slocations(0.7, seed=6),
@@ -459,53 +466,25 @@ class TestParallelExecution:
             scenario.start_time,
             scenario.end_time,
         )
-        serial = fresh_engine(scenario).search(scenario.iupt, query, "nested-loop")
-        with fresh_engine(
-            scenario,
-            config=EngineConfig(executor="thread", max_workers=4, parallel_threshold=1),
-        ) as parallel:
-            threaded = parallel.search(scenario.iupt, query, "nested-loop")
-        assert threaded.flows == serial.flows
-        assert threaded.top_k_ids() == serial.top_k_ids()
-        # The statistics are merged deterministically in input order.
-        assert (
-            threaded.stats.reduction_stats.objects_seen
-            == serial.stats.reduction_stats.objects_seen
+        result = fresh_engine(scenario, config=EngineConfig.uncached()).search(
+            scenario.iupt, query, "nested-loop"
         )
-        assert threaded.stats.objects_computed == serial.stats.objects_computed
-
-    def test_process_executor_matches_serial(self, figure1, figure1_iupt):
-        engine = QueryEngine(
-            figure1["graph"],
-            figure1["matrix"],
-            config=EngineConfig(
-                executor="process", max_workers=2, parallel_threshold=1
-            ),
+        self.assert_same_work(
+            result.stats,
+            direct_stats(scenario, query.interval, frozenset(query.query_slocations)),
         )
-        serial = fresh_computer(figure1)
-        sloc_id = figure1["slocs"]["r6"]
-        try:
-            assert (
-                engine.flow(figure1_iupt, sloc_id, *WINDOW).flow
-                == serial.flow(figure1_iupt, sloc_id, *WINDOW).flow
-            )
-        finally:
-            engine.close()
 
-    def test_parallel_flows_for_all_matches_serial(self, small_real_scenario):
+    def test_flows_stats_equal_direct_calls(self, small_real_scenario):
         scenario = small_real_scenario
         sloc_ids = scenario.slocation_ids()
-        serial = fresh_engine(scenario).flows(
-            scenario.iupt, sloc_ids, scenario.start_time, scenario.end_time
+        window = (scenario.start_time, scenario.end_time)
+        stats = SearchStats()
+        fresh_engine(scenario).flow_computer.flows_for_all(
+            scenario.iupt, sloc_ids, *window, stats=stats
         )
-        with fresh_engine(
-            scenario,
-            config=EngineConfig(executor="thread", max_workers=3, parallel_threshold=1),
-        ) as engine:
-            threaded = engine.flows(
-                scenario.iupt, sloc_ids, scenario.start_time, scenario.end_time
-            )
-        assert threaded == serial
+        self.assert_same_work(
+            stats, direct_stats(scenario, window, frozenset(sloc_ids))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -538,11 +517,5 @@ class TestSearchStats:
         left, right = SearchStats(), SearchStats()
         left.note_objects_total(10)
         right.note_objects_total(10)
-        left.merge(right, same_window=False)
+        left.merge(right)
         assert left.objects_total == 20
-        # Same-window merging keeps the maximum (one fetch, counted once).
-        left2, right2 = SearchStats(), SearchStats()
-        left2.note_objects_total(10)
-        right2.note_objects_total(10)
-        left2.merge(right2)
-        assert left2.objects_total == 10
